@@ -3,8 +3,8 @@
 A ~90k-triple two-fan workload over the encoded store: every subject
 carries a small ``:small`` fan and a larger ``:big`` fan, and the query
 joins both fans then FILTERs the ``:small`` object down to a handful of
-rows.  The PR 2 decoded path (``use_id_execution=False,
-use_filter_pushdown=False``) materialises the full two-fan join as boxed
+rows.  The PR 2 decoded path (a profile with
+``use_id_execution`` and ``use_filter_pushdown`` off) materialises the full two-fan join as boxed
 ``Term`` bindings and post-filters it; the id-native pipeline joins over
 raw dictionary ids and kills non-qualifying rows right after the step
 that binds the filtered variable, so the second fan is only probed for
@@ -24,6 +24,7 @@ from collections import Counter
 from repro.rdf.graph import Dataset
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
+from repro.sparql.profile import ExecutionProfile
 from repro.store import bulk_load_ntriples
 
 N_TRIPLES = 90_000
@@ -85,7 +86,12 @@ def _compare(query_text, rounds=3):
     dataset = Dataset.from_graph(_encoded_graph())
     query = parse_query(query_text)
     decoded_time, decoded = _best_time(
-        SparqlEvaluator(dataset, use_id_execution=False, use_filter_pushdown=False),
+        SparqlEvaluator(
+            dataset,
+            profile=ExecutionProfile.FULL.with_options(
+                use_id_execution=False, use_filter_pushdown=False
+            ),
+        ),
         query,
         rounds,
     )

@@ -3,7 +3,7 @@
 Ties the three translation methods together with the Datalog± engine:
 
 1. the active dataset is assembled from FROM / FROM NAMED clauses,
-2. T_D turns it into facts (cached per dataset),
+2. T_D turns it into facts (cached per dataset until a graph changes),
 3. ontology axioms (if any) are added as Datalog± rules,
 4. T_Q translates the parsed query into rules,
 5. the Datalog engine materialises the program,
@@ -67,6 +67,8 @@ class SparqLogEngine:
         self._data_translator = DataTranslator()
         self._solution_translator = SolutionTranslator()
         self._cached_data_program: Optional[Program] = None
+        #: Graph version stamps the cached T_D program was built from.
+        self._cached_versions: Optional[Tuple] = None
         #: Semi-naive delta rounds of the most recent query's fixpoint —
         #: the Datalog-side observability hook (each query runs a fresh
         #: DatalogEngine, so the count is copied out here).
@@ -119,10 +121,20 @@ class SparqLogEngine:
     # ------------------------------------------------------------------
     # internal
     # ------------------------------------------------------------------
+    def _dataset_versions(self) -> Tuple:
+        """Identity and version stamp of every graph in the dataset."""
+        dataset = self.dataset
+        graphs = [(None, dataset.default_graph), *dataset.named_graphs.items()]
+        return tuple(
+            (name, id(graph), getattr(graph, "version", None)) for name, graph in graphs
+        )
+
     def _data_program(self, clauses: Sequence[DatasetClause]) -> Program:
         if not clauses:
-            if self._cached_data_program is None:
+            versions = self._dataset_versions()
+            if self._cached_data_program is None or versions != self._cached_versions:
                 self._cached_data_program = self._data_translator.translate(self.dataset)
+                self._cached_versions = versions
             return self._cached_data_program
         active = resolve_dataset_clauses(self.dataset, clauses)
         return self._data_translator.translate(active)

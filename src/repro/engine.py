@@ -2,7 +2,7 @@
 
 Historically the public surface was a loose collection of pieces — build
 a graph, wrap it in a :class:`~repro.rdf.graph.Dataset`, construct a
-:class:`~repro.sparql.evaluator.SparqlEvaluator` with the right knobs,
+:class:`~repro.sparql.evaluator.SparqlEvaluator` with the right profile,
 parse queries yourself.  :func:`create_engine` assembles all of it into
 one :class:`Engine` handle:
 
@@ -12,14 +12,14 @@ one :class:`Engine` handle:
   maintained through change capture (see :mod:`repro.ivm`),
 * ``engine.explain(...)`` / ``engine.explain_analyze(...)`` — plan
   inspection,
-* ``engine.metrics()`` — the evaluator's metric snapshot (plan caches,
+* ``engine.metrics()`` — the evaluator's metric snapshot (plan cache,
   WCOJ fallbacks, IVM counters),
 * ``engine.close()`` — detaches every live view; the engine is a context
   manager.
 
 Execution is configured with an
 :class:`~repro.sparql.profile.ExecutionProfile` (presets ``FULL``,
-``ID_NATIVE``, ``BASELINE``) instead of the deprecated boolean knobs.
+``ID_NATIVE``, ``BASELINE``), the evaluator's only configuration value.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.obs.tracer import Tracer
 
 
 class Engine:
-    """One session over a dataset: evaluator, plan caches, live views."""
+    """One session over a dataset: evaluator, plan cache, live views."""
 
     def __init__(
         self,
@@ -89,7 +89,7 @@ class Engine:
         return self.evaluator.explain_analyze(query)
 
     def metrics(self):
-        """Snapshot every engine metric (plan caches, IVM, store)."""
+        """Snapshot every engine metric (plan cache, IVM, store)."""
         return self.evaluator.metrics()
 
     # -- live views ----------------------------------------------------

@@ -29,6 +29,7 @@ stale rows even across bulk loads that defer their version bump.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -60,6 +61,8 @@ Row = Tuple[Optional[Term], ...]
 ChangeEvent = Tuple[Row, int]
 
 ChangeCallback = Callable[[List[ChangeEvent]], None]
+
+logger = logging.getLogger(__name__)
 
 
 def _row_sort_key(row: Row):
@@ -160,7 +163,9 @@ class MaterializedView:
         DISTINCT views: only support transitions).  Returns an
         unsubscribe function.  Note that subscribing switches a re-eval
         view from read-time to mutation-time maintenance, since deltas
-        must be observed eagerly.
+        must be observed eagerly.  A callback that raises is logged and
+        counted in ``ivm_callback_errors_total``; the write that
+        triggered it and the other subscribers are unaffected.
         """
         if self.closed:
             raise RuntimeError("view is closed")
@@ -243,7 +248,15 @@ class MaterializedView:
         if events and self._callbacks:
             events.sort(key=lambda event: _row_sort_key(event[0]))
             for callback in list(self._callbacks):
-                callback(events)
+                # A subscriber runs inside the writer's graph.add/remove,
+                # after the change is committed: its failure is logged
+                # and counted, never raised into the writer or allowed to
+                # starve the other subscribers.
+                try:
+                    callback(events)
+                except Exception:
+                    self._registry._callback_errors.inc()
+                    logger.exception("IVM subscriber %r failed", callback)
 
 
 def _relevant_predicates(pattern: GraphPatternNode) -> Optional[Set[IRI]]:
@@ -272,8 +285,8 @@ class ViewRegistry:
     removed when the graph's last view closes, so an idle engine leaves
     no trace on its graphs.  All IVM metrics live on the evaluator's
     metrics registry: ``ivm_delta_batches_total``, ``ivm_delta_rows_total``,
-    ``ivm_view_refreshes_total``, ``ivm_skipped_batches_total`` and the
-    ``ivm_views_active`` gauge.
+    ``ivm_view_refreshes_total``, ``ivm_skipped_batches_total``,
+    ``ivm_callback_errors_total`` and the ``ivm_views_active`` gauge.
     """
 
     def __init__(self, evaluator, tracer=None) -> None:
@@ -297,6 +310,9 @@ class ViewRegistry:
         self._skipped = registry.counter(
             "ivm_skipped_batches_total",
             "Batches skipped by the relevant-predicate gate",
+        )
+        self._callback_errors = registry.counter(
+            "ivm_callback_errors_total", "Subscriber callbacks that raised"
         )
         registry.gauge(
             "ivm_views_active",
@@ -382,7 +398,7 @@ class ViewRegistry:
         ):
             return None, query, False
         evaluator = self.evaluator
-        if not evaluator.use_planner:
+        if not evaluator.profile.use_planner:
             return None, query, False
         plan = evaluator._lower_bgp(current, graph, tuple(conditions))
         pipeline = differentiate(plan, graph, query.projected_variables())
@@ -397,7 +413,7 @@ class ViewRegistry:
         """The evaluator that re-evaluates views watching ``graph``.
 
         Views on the default graph share the registry's evaluator (and
-        its plan caches); a view over any other graph gets a dedicated
+        its plan cache); a view over any other graph gets a dedicated
         evaluator with the same profile and tracer, so its state is
         always computed against the graph it actually watches.
         """

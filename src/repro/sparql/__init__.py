@@ -24,9 +24,10 @@ variables into the next pattern before probing the SPO/POS/OSP indexes,
 and solutions are yielded lazily so ASK and plain-LIMIT queries
 short-circuit instead of materialising full intermediate multisets.  The
 same cardinality model drives body-atom ordering in
-:class:`repro.datalog.engine.DatalogEngine`.  ``SparqlEvaluator(dataset,
-use_planner=False)`` recovers the naive textual-order evaluation, which
-the property-based tests use as the differential baseline.
+:class:`repro.datalog.engine.DatalogEngine`.  A profile with the planner off,
+``SparqlEvaluator(dataset, profile=ExecutionProfile.FULL.with_options(use_planner=False))``,
+recovers the naive textual-order evaluation, which the property-based
+tests use as the differential baseline.
 
 The ordered plan is then *lowered* to a physical operator DAG
 (:mod:`repro.sparql.physical`): the lowering pass picks term-space or
@@ -71,13 +72,12 @@ from repro.sparql.idpaths import IdPathEngine, supports_id_paths
 from repro.sparql.physical import (
     IndexNestedLoopJoin,
     LeapfrogJoin,
-    LoweringOptions,
     PhysicalPlan,
     lower_bgp,
     lower_plan,
     supports_leapfrog,
 )
-from repro.sparql.plan import BGPPlan, PlanStep, evaluate_bgp, plan_bgp
+from repro.sparql.plan import BGPPlan, PlanStep, plan_bgp
 from repro.sparql.solutions import Binding, SolutionSequence
 
 __all__ = [
@@ -96,7 +96,6 @@ __all__ = [
     "LeapfrogJoin",
     "LeftJoin",
     "LinkPath",
-    "LoweringOptions",
     "Minus",
     "NegatedPropertySet",
     "OneOrMorePath",
@@ -115,7 +114,6 @@ __all__ = [
     "Union",
     "ZeroOrMorePath",
     "ZeroOrOnePath",
-    "evaluate_bgp",
     "lower_bgp",
     "lower_plan",
     "parse_query",

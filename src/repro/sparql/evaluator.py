@@ -23,18 +23,17 @@ reordered by estimated cardinality, lowered to a physical operator DAG
 (term- or id-space per backend capability, with a leapfrog-triejoin
 operator for cyclic BGPs) and executed as a streaming pipeline, so ASK
 and plain LIMIT queries short-circuit instead of materialising the full
-join.  The execution knobs are configured through
-:class:`repro.sparql.profile.ExecutionProfile` (``profile=`` — presets
-``FULL`` / ``ID_NATIVE`` / ``BASELINE``); ``use_planner=False`` recovers
-the naive textual-order evaluation (used as the differential-testing
-baseline and by the planner benchmarks) and the remaining knobs map onto
-:class:`repro.sparql.physical.LoweringOptions`.  The historical boolean
-constructor kwargs still work but emit a ``DeprecationWarning``.
+join.  Execution is configured by one
+:class:`repro.sparql.profile.ExecutionProfile` value (``profile=`` —
+presets ``FULL`` / ``ID_NATIVE`` / ``BASELINE``, or a
+:meth:`~repro.sparql.profile.ExecutionProfile.with_options` variant);
+a profile with ``use_planner`` off recovers the naive textual-order
+evaluation used as the differential-testing baseline and by the planner
+benchmarks.
 """
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field
@@ -75,11 +74,7 @@ from repro.sparql.expressions import (
 from repro.sparql.functions import ExpressionError
 from repro.sparql import physical
 from repro.sparql.idpaths import IdPathEngine, supports_id_paths
-from repro.sparql.plan import (
-    BGPPlan,
-    match_triple,
-    plan_bgp,
-)
+from repro.sparql.plan import match_triple, plan_bgp
 from repro.sparql.paths import (
     AlternativePath,
     InversePath,
@@ -101,12 +96,6 @@ from repro.obs.tracer import Tracer
 
 class EvaluationError(RuntimeError):
     """Raised when a query cannot be evaluated (unsupported construct)."""
-
-
-#: Sentinel distinguishing "knob not passed" from an explicit value, so
-#: the deprecation shim only fires for callers actually using the old
-#: boolean-kwarg surface.
-_UNSET = object()
 
 
 @dataclass
@@ -131,73 +120,19 @@ class ExplainAnalyzeReport:
 class SparqlEvaluator:
     """Direct algebra evaluator over an RDF dataset."""
 
-    #: Upper bound on cached BGP plans (LRU-evicted beyond this).
+    #: Upper bound on cached physical plans per graph (oldest evicted first).
     PLAN_CACHE_SIZE = 256
 
     def __init__(
         self,
         dataset: Dataset,
-        use_planner: bool = _UNSET,
-        use_id_execution: bool = _UNSET,
-        use_filter_pushdown: bool = _UNSET,
-        use_id_paths: bool = _UNSET,
-        use_wcoj: bool = _UNSET,
         tracer: Optional[Tracer] = None,
         profile: Optional[ExecutionProfile] = None,
     ) -> None:
         self.dataset = dataset
-        # The boolean knobs are a deprecated spelling of ExecutionProfile:
-        # explicit values are folded into a custom profile (with a
-        # DeprecationWarning); new code passes profile= directly.
-        legacy = {
-            name: value
-            for name, value in (
-                ("use_planner", use_planner),
-                ("use_id_execution", use_id_execution),
-                ("use_filter_pushdown", use_filter_pushdown),
-                ("use_id_paths", use_id_paths),
-                ("use_wcoj", use_wcoj),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            warnings.warn(
-                "SparqlEvaluator's boolean knobs (use_planner, "
-                "use_id_execution, use_filter_pushdown, use_id_paths, "
-                "use_wcoj) are deprecated; pass "
-                "profile=ExecutionProfile(...) instead "
-                "(see docs/MIGRATION.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if profile is not None:
-                raise ValueError(
-                    "pass either profile= or the legacy use_* knobs, not both"
-                )
-            profile = ExecutionProfile.FULL.with_options(**legacy)
-        elif profile is None:
-            profile = ExecutionProfile.FULL
-        #: The resolved execution profile; the knob attributes below are
-        #: read-only views of it kept for the internal call sites.
-        self.profile = profile
-        self.use_planner = profile.use_planner
-        # Execute planned BGPs entirely over integer term ids when the
-        # active graph is an encoded store (decode only at the result
-        # boundary); off recovers the decoded-Term join pipeline.
-        self.use_id_execution = profile.use_id_execution
-        # Push FILTER conjuncts over planned BGPs into the streaming
-        # pipeline (earliest step binding their variables); off recovers
-        # the evaluate-then-post-filter baseline.
-        self.use_filter_pushdown = profile.use_filter_pushdown
-        # Evaluate property paths through the id-native engine
-        # (repro.sparql.idpaths) when the active graph exposes the id
-        # navigation surface; off recovers the term-level ALP procedure
-        # on every backend (the differential baseline).
-        self.use_id_paths = profile.use_id_paths
-        # Allow the lowering pass to pick the leapfrog-triejoin operator
-        # for cyclic all-triple BGPs over a sorted-id-capable graph; off
-        # pins every planned BGP to the binary index-nested-loop join.
-        self.use_wcoj = profile.use_wcoj
+        #: The execution profile (``FULL`` unless given); fixed for the
+        #: evaluator's lifetime, so cached plans need not key on it.
+        self.profile = profile if profile is not None else ExecutionProfile.FULL
         # The most recent physical plan produced by lowering — inspection
         # hook for tests, benchmarks and explain()-style tooling.
         self.last_physical_plan: Optional[physical.PhysicalPlan] = None
@@ -210,19 +145,12 @@ class SparqlEvaluator:
         # size; id() keys stay valid precisely because the values keep
         # their graphs alive.
         self._path_engine_cache: "OrderedDict[int, IdPathEngine]" = OrderedDict()
-        # BGP plans keyed by (graph identity, graph version, pattern tuple):
-        # repeated workload queries skip re-planning, and any mutation of
-        # the graph bumps its version stamp, invalidating stale entries.
-        # Values pair the plan with a weakref to the graph that produced
-        # it, guarding against id() reuse after garbage collection.
-        self._plan_cache: "OrderedDict[Tuple, Tuple[weakref.ref, BGPPlan]]" = (
-            OrderedDict()
-        )
-        # Lowered physical plans, keyed like the plan cache plus the
-        # FILTER conjuncts and the lowering options, so repeated queries
-        # skip operator construction and eligibility analysis too.
-        self._physical_cache: "OrderedDict[Tuple, Tuple[weakref.ref, physical.PhysicalPlan]]" = (
-            OrderedDict()
+        # Lowered BGP plans per graph: graph -> (version, {(patterns,
+        # conditions): PhysicalPlan}).  A write bumps the graph's version
+        # and the next lookup replaces that graph's dict; a collected
+        # graph drops out with its weak key.
+        self._plans: "weakref.WeakKeyDictionary[Graph, Tuple[int, Dict]]" = (
+            weakref.WeakKeyDictionary()
         )
         # Optional span tracer: when attached (and enabled) the evaluator
         # opens plan / lower / execute phase spans and samples per-operator
@@ -235,62 +163,33 @@ class SparqlEvaluator:
         # :meth:`metrics` snapshots it.
         self.metrics_registry = MetricsRegistry()
         registry = self.metrics_registry
-        self._logical_plan_hits = registry.counter(
-            "sparql_plan_cache_hits_total", "Logical BGP plan cache hits"
+        self._cache_hits = registry.counter(
+            "sparql_physical_cache_hits_total", "Plan cache lookups that hit"
         )
-        self._logical_plan_misses = registry.counter(
+        self._cache_misses = registry.counter(
+            "sparql_physical_cache_misses_total", "Plan cache lookups that missed"
+        )
+        self._plans_built = registry.counter(
             "sparql_plan_cache_misses_total",
-            "Logical BGP plans built fresh (cache misses)",
-        )
-        self._physical_plan_hits = registry.counter(
-            "sparql_physical_cache_hits_total", "Lowered physical plan cache hits"
-        )
-        self._physical_plan_misses = registry.counter(
-            "sparql_physical_cache_misses_total",
-            "Physical plans lowered fresh (cache misses)",
+            "BGP plans planned and lowered fresh (one per cache miss)",
         )
         self._cache_evictions = registry.counter(
             "sparql_plan_cache_evictions_total",
-            "Plan/physical cache entries evicted (LRU overflow or dead graph)",
+            "Plan cache entries evicted (per-graph bound or a graph write)",
         )
         self._wcoj_fallbacks = registry.counter(
             "sparql_wcoj_fallback_total",
             "GYO-cyclic BGPs where WCOJ selection was structurally rejected",
         )
         registry.gauge(
-            "sparql_plan_cache_size",
-            "Live logical plan cache entries",
-            callback=lambda: len(self._plan_cache),
-        )
-        registry.gauge(
             "sparql_physical_cache_size",
-            "Live physical plan cache entries",
-            callback=lambda: len(self._physical_cache),
+            "Live plan cache entries across graphs",
+            callback=lambda: sum(len(plans) for _, plans in self._plans.values()),
         )
 
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    @property
-    def plan_cache_hits(self) -> int:
-        """Deprecated alias for the cache-hit counters (combined).
-
-        A physical-cache hit subsumes the logical lookup, so this keeps
-        the historical meaning — "evaluations that skipped planning" —
-        as logical plus physical hits.  Prefer :meth:`metrics` for the
-        split counters.
-        """
-        return self._logical_plan_hits.value + self._physical_plan_hits.value
-
-    @property
-    def plan_cache_misses(self) -> int:
-        """Deprecated alias for logical plans built fresh.
-
-        Prefer :meth:`metrics`, which also exposes the physical-cache
-        miss count this alias never covered.
-        """
-        return self._logical_plan_misses.value
-
     def metrics(self) -> Dict[str, object]:
         """Snapshot every registered metric (cache traffic, sizes, ...).
 
@@ -477,7 +376,7 @@ class SparqlEvaluator:
 
     def _plannable_bgp(self, node: BGP) -> bool:
         """A BGP is planned when enabled and built only of triple/path patterns."""
-        return self.use_planner and all(
+        return self.profile.use_planner and all(
             isinstance(pattern, (TriplePatternNode, PathPattern))
             for pattern in node.patterns
         )
@@ -510,7 +409,7 @@ class SparqlEvaluator:
         R)``.  Returns ``None`` when pushdown does not apply (disabled,
         or no eligible shape).
         """
-        if not self.use_filter_pushdown:
+        if not self.profile.use_filter_pushdown:
             return None
         conditions: List[Expression] = []
         current: GraphPatternNode = node
@@ -559,99 +458,70 @@ class SparqlEvaluator:
             if not excluded:
                 yield left_binding
 
-    def _lowering_options(self) -> physical.LoweringOptions:
-        """Map the evaluator's compatibility knobs onto lowering options."""
-        return physical.LoweringOptions(
-            id_execution=self.use_id_execution,
-            filter_pushdown=self.use_filter_pushdown,
-            id_paths=self.use_id_paths,
-            wcoj=self.use_wcoj,
-        )
-
     def _lower_bgp(
         self,
         node: BGP,
         active_graph: Graph,
         conditions: Tuple[Expression, ...] = (),
     ) -> physical.PhysicalPlan:
-        """Plan + lower a BGP to a physical operator DAG, caching both.
+        """Plan + lower a BGP to a physical operator DAG, cached per graph.
 
-        Lowering (operator construction, WCOJ eligibility analysis) is
-        pure in the pattern tuple, the FILTER conjuncts, the lowering
-        options and the graph statistics, so lowered plans are cached
-        under the same version-stamp discipline as logical plans.  A hit
-        here counts as a plan-cache hit: it subsumes the logical lookup.
-        Cached plans share their ``OperatorStats`` objects, but the
-        executor resets them at the start of every execution, so each run
-        reports its own counters (``execute(..., reset_stats=False)``
-        opts back into accumulation).
+        Planning and lowering (operator construction, WCOJ eligibility
+        analysis) are pure in the pattern tuple, the FILTER conjuncts,
+        the evaluator's profile and the graph statistics, so a lowered
+        plan is reused while the graph's ``version`` stamp is unchanged.
+        Graphs without a version stamp (or that cannot be weakly
+        referenced) and unhashable patterns are planned afresh every
+        time.  Cached plans share their ``OperatorStats`` objects, but
+        the executor resets them at the start of every execution, so
+        each run reports its own counters.
         """
+        key = (node.patterns, conditions)
+        plans: Optional[Dict[Tuple, physical.PhysicalPlan]] = None
         version = getattr(active_graph, "version", None)
-        key = None
         if version is not None:
-            cache = self._physical_cache
-            knobs = (
-                self.use_id_execution,
-                self.use_filter_pushdown,
-                self.use_id_paths,
-                self.use_wcoj,
-            )
             try:
-                key = (id(active_graph), version, node.patterns, conditions, knobs)
-                cached = cache.get(key)
-            except TypeError:  # unhashable pattern or condition component
-                key = None
+                entry = self._plans.get(active_graph)
+                if entry is None or entry[0] != version:
+                    if entry is not None:
+                        self._cache_evictions.inc(len(entry[1]))
+                    entry = (version, {})
+                    self._plans[active_graph] = entry
+                plans = entry[1]
+                cached = plans.get(key)
+            except TypeError:  # not weak-referenceable, or unhashable key
+                plans = None
                 cached = None
             if cached is not None:
-                graph_ref, physical_plan = cached
-                # Same id()-reuse guard as the logical plan cache.  No
-                # move_to_end here: recency upkeep would re-hash the whole
-                # key on the hot path, so eviction is insertion-ordered —
-                # fine for a cache that exists to amortise repeat queries.
-                if graph_ref() is active_graph:
-                    self._physical_plan_hits.inc()
-                    self.last_physical_plan = physical_plan
-                    return physical_plan
-        self._physical_plan_misses.inc()
+                self._cache_hits.inc()
+                self.last_physical_plan = cached
+                return cached
+        self._cache_misses.inc()
+        self._plans_built.inc()
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             with tracer.span("plan"):
-                plan = self._bgp_plan(node, active_graph)
+                plan = plan_bgp(active_graph, node.patterns)
             with tracer.span("lower") as span:
                 physical_plan = physical.lower_plan(
-                    plan,
-                    active_graph,
-                    conditions=conditions,
-                    options=self._lowering_options(),
+                    plan, active_graph, conditions=conditions, profile=self.profile
                 )
                 span.annotate(space=physical_plan.space)
                 if physical_plan.wcoj_fallback is not None:
                     span.annotate(wcoj_fallback=physical_plan.wcoj_fallback)
         else:
-            plan = self._bgp_plan(node, active_graph)
+            plan = plan_bgp(active_graph, node.patterns)
             physical_plan = physical.lower_plan(
-                plan,
-                active_graph,
-                conditions=conditions,
-                options=self._lowering_options(),
+                plan, active_graph, conditions=conditions, profile=self.profile
             )
         if physical_plan.wcoj_fallback is not None:
-            # Counted per fresh lowering, not per execution: the physical
+            # Counted per fresh lowering, not per execution: the plan
             # cache replays the same decision without re-analysing it.
             self._wcoj_fallbacks.inc()
-        if key is not None:
-            cache = self._physical_cache
-            dead = [
-                stale_key
-                for stale_key, (graph_ref, _) in cache.items()
-                if graph_ref() is None
-            ]
-            for stale_key in dead:
-                del cache[stale_key]
-            self._cache_evictions.inc(len(dead))
-            cache[key] = (weakref.ref(active_graph), physical_plan)
-            if len(cache) > self.PLAN_CACHE_SIZE:
-                cache.popitem(last=False)
+        if plans is not None:
+            plans[key] = physical_plan
+            if len(plans) > self.PLAN_CACHE_SIZE:
+                del plans[next(iter(plans))]
                 self._cache_evictions.inc()
         self.last_physical_plan = physical_plan
         return physical_plan
@@ -670,12 +540,12 @@ class SparqlEvaluator:
         them.  The choice of term-space vs id-space operators — and of
         the leapfrog-triejoin operator for cyclic BGPs — is made by the
         lowering pass per backend capability, shaped by the evaluator's
-        compatibility knobs.
+        profile.
         """
         physical_plan = self._lower_bgp(node, active_graph, conditions)
         engine = (
             self._id_path_engine(active_graph)
-            if physical_plan.space == "id" and self.use_id_paths
+            if physical_plan.space == "id" and self.profile.use_id_paths
             else None
         )
         stream = physical.execute(
@@ -790,7 +660,7 @@ class SparqlEvaluator:
         physical_plan = self._lower_bgp(pattern, active_graph, tuple(conditions))
         engine = (
             self._id_path_engine(active_graph)
-            if physical_plan.space == "id" and self.use_id_paths
+            if physical_plan.space == "id" and self.profile.use_id_paths
             else None
         )
         stream = physical.execute(
@@ -812,53 +682,6 @@ class SparqlEvaluator:
             total_seconds=total_seconds,
             rows=rows,
         )
-
-    def _bgp_plan(self, node: BGP, active_graph: Graph) -> BGPPlan:
-        """Return a (possibly cached) join plan for the BGP.
-
-        Plans are pure functions of the pattern tuple and the graph
-        statistics, so a cached plan is valid exactly while the graph's
-        ``version`` stamp is unchanged.  Graphs without a version stamp,
-        and patterns that are not hashable (exotic path operators), are
-        planned afresh every time.
-        """
-        version = getattr(active_graph, "version", None)
-        if version is None:
-            return plan_bgp(active_graph, node.patterns)
-        key = (id(active_graph), version, node.patterns)
-        cache = self._plan_cache
-        try:
-            cached = cache.get(key)
-        except TypeError:  # unhashable pattern component
-            return plan_bgp(active_graph, node.patterns)
-        if cached is not None:
-            graph_ref, plan = cached
-            # id() values can be reused after garbage collection, so the
-            # entry only counts as a hit while the weakly-held graph that
-            # produced it is still the graph being queried.
-            if graph_ref() is active_graph:
-                self._logical_plan_hits.inc()
-                cache.move_to_end(key)
-                return plan
-        self._logical_plan_misses.inc()
-        # A miss is the cheap moment to drop entries whose graph has been
-        # collected: they can never hit again (the weakref is dead) yet
-        # would otherwise squat in the LRU until SIZE evictions push them
-        # out, crowding out plans for live graphs.
-        dead = [
-            stale_key
-            for stale_key, (graph_ref, _) in cache.items()
-            if graph_ref() is None
-        ]
-        for stale_key in dead:
-            del cache[stale_key]
-        self._cache_evictions.inc(len(dead))
-        plan = plan_bgp(active_graph, node.patterns)
-        cache[key] = (weakref.ref(active_graph), plan)
-        if len(cache) > self.PLAN_CACHE_SIZE:
-            cache.popitem(last=False)
-            self._cache_evictions.inc()
-        return plan
 
     def _eval_pattern_stream(
         self,
@@ -976,7 +799,7 @@ class SparqlEvaluator:
         condition_conjuncts: Tuple[Expression, ...] = (
             tuple(conjuncts(node.condition)) if node.condition is not None else ()
         )
-        if condition_conjuncts and self.use_filter_pushdown:
+        if condition_conjuncts and self.profile.use_filter_pushdown:
             inner_conditions: List[Expression] = []
             core: GraphPatternNode = node.right
             while isinstance(core, Filter):
@@ -1075,10 +898,10 @@ class SparqlEvaluator:
         On an id-capable graph (the encoded store) paths run through
         :class:`repro.sparql.idpaths.IdPathEngine` — integer frontier
         sets, statistics-driven expansion direction, decode only at the
-        result boundary.  ``use_id_paths=False`` (or a term-only backend)
-        recovers the spec's term-level ALP procedure.
+        result boundary.  A profile with ``use_id_paths`` off (or a
+        term-only backend) recovers the spec's term-level ALP procedure.
         """
-        if self.use_id_paths:
+        if self.profile.use_id_paths:
             engine = self._id_path_engine(graph)
             if engine is not None:
                 return engine.evaluate(node)

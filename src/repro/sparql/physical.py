@@ -14,17 +14,15 @@ and executes it.  The split gives every execution strategy one home:
 
 * **Lowering** — :func:`lower_plan` chooses term-space vs. id-space
   operators per *backend capability* (duck-typed store surfaces) rather
-  than per evaluator knob: an id-capable graph gets the id-native
-  pipeline, everything else the term pipeline, and the knobs of
-  :class:`~repro.sparql.evaluator.SparqlEvaluator` merely map onto
-  :class:`LoweringOptions`.  FILTER conjuncts arrive here and become
+  than per evaluator setting: an id-capable graph gets the id-native
+  pipeline, everything else the term pipeline, and the
+  :class:`~repro.sparql.profile.ExecutionProfile` can only switch
+  capabilities off.  FILTER conjuncts arrive here and become
   :class:`Filter` operators wrapped around the earliest input that binds
   their variables (:func:`repro.sparql.plan.attach_filters`).
 
 * **Executors** — :func:`execute` walks the DAG with streaming
-  iterators.  The index-nested-loop pipelines (term- and id-space) moved
-  here verbatim from ``plan.execute_plan`` / ``idexec.execute_plan_ids``,
-  which survive as thin compatibility shims.
+  iterators: index-nested-loop pipelines in term and id space.
 
 * **Worst-case-optimal join** — :class:`LeapfrogJoin` implements the
   leapfrog-triejoin of Veldhuizen over the encoded store's sorted id
@@ -63,6 +61,7 @@ from repro.sparql.expressions import (
 from repro.sparql.idexec import IdFilter, supports_id_execution
 from repro.sparql.idpaths import _ABSENT, IdPathEngine, supports_id_paths
 from repro.sparql.paths import matches_zero_length, normalize_path
+from repro.sparql.profile import ExecutionProfile
 from repro.sparql.plan import (
     BGPPlan,
     PathEvaluator,
@@ -524,21 +523,6 @@ def _estimation_error(estimate: float, actual: float) -> Optional[float]:
 # ----------------------------------------------------------------------
 # lowering
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LoweringOptions:
-    """Evaluator knobs mapped onto the lowering pass.
-
-    The operators themselves are chosen per backend capability; these
-    options only *disable* capabilities (to recover the differential
-    oracle pipelines), never force an unsupported one.
-    """
-
-    id_execution: bool = True
-    filter_pushdown: bool = True
-    id_paths: bool = True
-    wcoj: bool = True
-
-
 #: The sorted-run/seek surface the leapfrog operator needs from a store.
 LEAPFROG_SURFACE = (
     "sorted_subjects_for_predicate",
@@ -671,25 +655,25 @@ def lower_plan(
     plan: BGPPlan,
     graph,
     conditions: Sequence[Expression] = (),
-    options: Optional[LoweringOptions] = None,
-    step_filters: Optional[StepFilters] = None,
+    profile: ExecutionProfile = ExecutionProfile.FULL,
 ) -> PhysicalPlan:
     """Lower a logical BGP plan to a physical operator DAG.
 
     Chooses the execution space from the backend's capabilities
     (``supports_id_execution`` → id pipeline) intersected with
-    ``options``; picks :class:`LeapfrogJoin` for cyclic join graphs on a
-    sorted-run-capable store, :class:`IndexNestedLoopJoin` otherwise.
-    FILTER conjuncts (``conditions``, or a precomputed ``step_filters``
-    attachment) become :class:`Filter` operators at the earliest input
-    binding their variables; with ``filter_pushdown`` disabled they all
-    run at the final slot, i.e. as a plain post-filter.
+    ``profile``, which can only switch capabilities off, never force an
+    unsupported one; picks :class:`LeapfrogJoin` for cyclic join graphs
+    on a sorted-run-capable store, :class:`IndexNestedLoopJoin`
+    otherwise.  FILTER ``conditions`` become :class:`Filter` operators at
+    the earliest input binding their variables; with
+    ``use_filter_pushdown`` off they all run at the final slot, i.e. as a
+    plain post-filter.
     """
-    options = options if options is not None else LoweringOptions()
-    id_space = options.id_execution and supports_id_execution(graph)
+    id_space = profile.use_id_execution and supports_id_execution(graph)
     space = "id" if id_space else "term"
-    if step_filters is None and conditions:
-        if options.filter_pushdown:
+    step_filters: Optional[StepFilters] = None
+    if conditions:
+        if profile.use_filter_pushdown:
             step_filters = attach_filters(plan, tuple(conditions))
         else:
             slots: List[Tuple[Expression, ...]] = [()] * (len(plan.steps) + 1)
@@ -702,7 +686,7 @@ def lower_plan(
     join: PhysicalOperator
     use_leapfrog = False
     wcoj_fallback: Optional[str] = None
-    if id_space and options.wcoj:
+    if id_space and profile.use_wcoj:
         use_leapfrog, wcoj_fallback = _leapfrog_assessment(plan, graph)
         if wcoj_fallback is not None:
             logger.warning(
@@ -721,7 +705,9 @@ def lower_plan(
         join = LeapfrogJoin(scans, var_order, level_conditions)
     else:
         path_mode = (
-            "id" if id_space and options.id_paths and supports_id_paths(graph) else "term"
+            "id"
+            if id_space and profile.use_id_paths and supports_id_paths(graph)
+            else "term"
         )
         inputs: List[PhysicalOperator] = []
         for position, step in enumerate(plan.steps):
@@ -753,12 +739,12 @@ def lower_bgp(
     graph,
     patterns: Sequence,
     conditions: Sequence[Expression] = (),
-    options: Optional[LoweringOptions] = None,
+    profile: ExecutionProfile = ExecutionProfile.FULL,
 ) -> PhysicalPlan:
     """Plan and lower a BGP in one call (convenience for tests/tools)."""
     from repro.sparql.plan import plan_bgp
 
-    return lower_plan(plan_bgp(graph, patterns), graph, conditions, options)
+    return lower_plan(plan_bgp(graph, patterns), graph, conditions, profile)
 
 
 # ----------------------------------------------------------------------
@@ -812,7 +798,7 @@ def execute(
     ``path_evaluator`` backs term-mode :class:`PathExpand` operators (and
     the bridge inside id pipelines); ``path_engine`` is an optional
     pre-built :class:`IdPathEngine` (the evaluator passes its cached one).
-    ``initial`` pre-binds variables exactly like the legacy pipelines.
+    ``initial`` pre-binds variables before the first operator runs.
 
     Counters are reset here, so every execution reports its own rows and
     probes even when the physical plan came out of a cache; pass
@@ -847,7 +833,7 @@ def _execute_term(
     initial: Binding,
     timed: bool = False,
 ) -> Iterator[Binding]:
-    """Term-space index-nested-loop pipeline (ex ``plan.execute_plan``)."""
+    """Term-space index-nested-loop pipeline."""
     if prefilter_op is not None:
         prefilter_op.stats.probes += 1
         if not all(satisfies(c, initial) for c in prefilter_op.conditions):
@@ -911,7 +897,7 @@ def _execute_id(
     initial: Binding,
     timed: bool = False,
 ) -> Iterator[Binding]:
-    """Id-space pipelines (ex ``idexec.execute_plan_ids`` + leapfrog)."""
+    """Id-space pipelines: index-nested-loop and leapfrog."""
     dictionary = graph.dictionary
     env: Dict[Variable, int] = {}
     if len(initial):

@@ -1,13 +1,13 @@
 """Named execution profiles for the SPARQL evaluator.
 
-Historically every optimisation of the evaluation stack grew its own
-boolean constructor knob on :class:`~repro.sparql.evaluator.SparqlEvaluator`
-(``use_planner``, ``use_id_execution``, ``use_filter_pushdown``,
-``use_id_paths``, ``use_wcoj``).  The knobs exist for differential testing
-and ablation benchmarks, but five independent booleans make 32 nominal
+Every optimisation of the evaluation stack can be switched off for
+differential testing and ablation benchmarks (``use_planner``,
+``use_id_execution``, ``use_filter_pushdown``, ``use_id_paths``,
+``use_wcoj``), but five independent booleans make 32 nominal
 configurations of which only a handful are meaningful.
-:class:`ExecutionProfile` packages the knobs into one immutable value with
-three named presets:
+:class:`ExecutionProfile` packages the switches into one immutable value —
+the only configuration :class:`~repro.sparql.evaluator.SparqlEvaluator`
+takes — with three named presets:
 
 ``FULL``
     Everything on — the production configuration (cost-based planning,

@@ -13,6 +13,7 @@ import pytest
 import tests.helpers as helpers
 import tests.test_rdf_graph as graph_suite
 import tests.test_sparql_evaluator as evaluator_suite
+from repro.sparql.profile import ExecutionProfile
 from repro.store import EncodedGraph
 
 
@@ -31,9 +32,12 @@ def _encoded_backend(request, monkeypatch):
     if request.param == "decoded":
         reference = evaluator_suite.SparqlEvaluator
 
+        decoded = ExecutionProfile.FULL.with_options(
+            use_id_execution=False, use_filter_pushdown=False
+        )
+
         def decoded_evaluator(dataset, **kwargs):
-            kwargs.setdefault("use_id_execution", False)
-            kwargs.setdefault("use_filter_pushdown", False)
+            kwargs.setdefault("profile", decoded)
             return reference(dataset, **kwargs)
 
         monkeypatch.setattr(evaluator_suite, "SparqlEvaluator", decoded_evaluator)

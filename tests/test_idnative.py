@@ -32,7 +32,8 @@ from repro.sparql.expressions import (
     VariableExpr,
     conjuncts,
 )
-from repro.sparql.idexec import IdFilter, execute_plan_ids, supports_id_execution
+from repro.sparql import physical
+from repro.sparql.idexec import IdFilter, supports_id_execution
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import attach_filters, plan_bgp
 from repro.sparql.solutions import Binding
@@ -47,6 +48,13 @@ def tp(subject, predicate, obj):
     from repro.sparql.algebra import TriplePatternNode
 
     return TriplePatternNode(Triple(subject, predicate, obj))
+
+
+def execute_ids(plan, graph, profile=ExecutionProfile.ID_NATIVE, **kwargs):
+    """Lower a logical plan to the id-space pipeline and stream it."""
+    physical_plan = physical.lower_plan(plan, graph, profile=profile)
+    assert physical_plan.space == "id"
+    return physical.execute(physical_plan, graph, **kwargs)
 
 
 def _all_configurations(graph_triples):
@@ -256,7 +264,7 @@ class TestIdNativeEvaluation:
         )
         assert rows == Counter({(EX.loop,): 1})
 
-    def test_execute_plan_ids_rejects_paths_without_evaluator(self):
+    def test_id_pipeline_rejects_paths_without_evaluator(self):
         from repro.sparql.algebra import PathPattern
         from repro.sparql.paths import LinkPath
 
@@ -265,17 +273,18 @@ class TestIdNativeEvaluation:
             graph, [PathPattern(Variable("a"), LinkPath(EX.p), Variable("b"))]
         )
         # The id engine needs no term-level path evaluator at all ...
-        assert len(list(execute_plan_ids(plan, graph))) == 2
+        assert len(list(execute_ids(plan, graph))) == 2
         # ... but the term-level bridge still requires one.
+        no_id_paths = ExecutionProfile.ID_NATIVE.with_options(use_id_paths=False)
         with pytest.raises(TypeError):
-            list(execute_plan_ids(plan, graph, use_id_paths=False))
+            list(execute_ids(plan, graph, profile=no_id_paths))
 
     def test_initial_binding_with_foreign_term_yields_nothing(self):
         graph = EncodedGraph(self._triples())
         x, o = Variable("x"), Variable("o")
         plan = plan_bgp(graph, [tp(x, EX.p, o)])
         initial = Binding({x: EX.unseen_subject})
-        assert list(execute_plan_ids(plan, graph, initial=initial)) == []
+        assert list(execute_ids(plan, graph, initial=initial)) == []
 
     def test_ask_short_circuits_through_id_pipeline(self):
         dataset = Dataset.from_graph(EncodedGraph(self._triples()))

@@ -12,7 +12,7 @@ the term-level ALP procedure:
   multiset through the id engine and the term-level fallback, on both
   backends and through both join pipelines,
 * gMark workload parity: every query of a recursive-only gMark workload
-  agrees between ``use_id_paths=True`` and the ALP baseline.
+  agrees between the id path engine and the ALP baseline.
 """
 
 from collections import Counter
@@ -26,6 +26,7 @@ from repro.sparql.algebra import BGP, PathPattern, ProjectionItem, SelectQuery, 
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.idpaths import IdPathEngine, supports_id_paths
 from repro.sparql.parser import parse_query
+from repro.sparql.profile import ExecutionProfile
 from repro.sparql.paths import (
     AlternativePath,
     InversePath,
@@ -47,6 +48,10 @@ PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
 X, Y = Variable("x"), Variable("y")
 
+FULL = ExecutionProfile.FULL
+#: Term-level ALP paths on every backend (the id path engine switched off).
+NO_ID_PATHS = FULL.with_options(use_id_paths=False)
+
 
 def _select(pattern_nodes):
     variables = sorted(
@@ -65,19 +70,19 @@ def _evaluators(triples):
     for backend in (Graph, EncodedGraph):
         dataset = Dataset.from_graph(backend(triples))
         evaluators.append(SparqlEvaluator(dataset))
-        evaluators.append(SparqlEvaluator(dataset, use_id_paths=False))
+        evaluators.append(SparqlEvaluator(dataset, profile=NO_ID_PATHS))
         evaluators.append(
             SparqlEvaluator(
-                dataset, use_id_execution=False, use_filter_pushdown=False
+                dataset,
+                profile=FULL.with_options(
+                    use_id_execution=False, use_filter_pushdown=False
+                ),
             )
         )
         evaluators.append(
             SparqlEvaluator(
                 dataset,
-                use_id_execution=False,
-                use_filter_pushdown=False,
-                use_id_paths=False,
-                use_planner=False,
+                profile=ExecutionProfile.BASELINE.with_options(use_planner=False),
             )
         )
     return evaluators
@@ -417,7 +422,7 @@ def test_differential_engine_vs_term_alp(edges, path):
     graph = EncodedGraph(Triple(*edge) for edge in edges)
     dataset = Dataset.from_graph(graph)
     idnative = SparqlEvaluator(dataset)
-    termlevel = SparqlEvaluator(dataset, use_id_paths=False)
+    termlevel = SparqlEvaluator(dataset, profile=NO_ID_PATHS)
     node = PathPattern(X, path, Y)
     expected = Counter(
         tuple(sorted(binding.items()))
@@ -445,7 +450,7 @@ def test_gmark_recursive_workload_parity():
     )
     dataset = workload.dataset()
     idnative = SparqlEvaluator(dataset)
-    termlevel = SparqlEvaluator(dataset, use_id_paths=False)
+    termlevel = SparqlEvaluator(dataset, profile=NO_ID_PATHS)
     compared = 0
     for query in workload.queries():
         parsed = parse_query(query.text)

@@ -7,7 +7,7 @@ Four layers:
   bulk loaders, Turtle streaming, snapshots bump the version stamp),
 * delta-view units — O(|Δ|) maintenance matches fresh evaluation through
   add/remove churn, multiplicities, DISTINCT support transitions,
-  subscriptions and close(),
+  subscriptions, subscriber fault containment and close(),
 * loader regressions — a view can never serve stale rows after *any*
   loader touched its graph,
 * a hypothesis differential — random add/remove churn against random
@@ -197,6 +197,34 @@ class TestDeltaViews:
         unsubscribe()
         engine.graph.remove(chain(2, 3))
         assert len(events) == 1
+
+    def test_raising_subscriber_is_contained(self, backend, caplog):
+        # A subscriber that raises must neither fail the write that fed
+        # it nor starve the subscribers of other views.
+        engine = self._engine(backend, [chain(1, 2)])
+        broken = engine.materialize(TWO_HOP)
+        healthy = engine.materialize(
+            "PREFIX ex: <http://ex.org/>\nSELECT ?a WHERE { ?a ex:p ?b }"
+        )
+
+        def explode(events):
+            raise RuntimeError("subscriber bug")
+
+        broken.on_change(explode)
+        received = []
+        healthy.on_change(received.append)
+        with caplog.at_level("ERROR", logger="repro.ivm.views"):
+            for index in range(2, 5):
+                engine.graph.add(chain(index, index + 1))
+        assert received == [[((EX[f"n{index}"],), 1)] for index in range(2, 5)]
+        assert engine.metrics()["ivm_callback_errors_total"] == 3
+        failures = [r for r in caplog.records if r.name == "repro.ivm.views"]
+        assert len(failures) == 3
+        assert all(r.exc_info[0] is RuntimeError for r in failures)
+        assert sorted(broken.rows()) == [
+            (EX.n1, EX.n3), (EX.n2, EX.n4), (EX.n3, EX.n5)
+        ]
+        assert len(healthy.rows()) == 4
 
     def test_closed_view_detaches_and_refuses_reads(self, backend):
         engine = self._engine(backend, [chain(1, 2)])

@@ -10,7 +10,7 @@ Four angles on the logical-plan → physical-DAG lowering:
 * behavioural tests: leapfrog-vs-binary multiset parity, eligibility
   fallbacks (variable predicates, repeated variables, too few patterns,
   term-only backends), per-operator row/probe counters, and the
-  evaluator's plan-cache dead-entry purge,
+  evaluator's per-graph plan cache (collected graphs, writes),
 * differential tests for the extended FILTER pushdown: OPTIONAL-scoped
   conditions and FILTER-over-MINUS agree with the pushdown-disabled
   baseline.
@@ -19,6 +19,7 @@ Four angles on the logical-plan → physical-DAG lowering:
 from collections import Counter
 
 import gc
+import weakref
 
 import pytest
 
@@ -31,7 +32,6 @@ from repro.sparql.parser import parse_query
 from repro.sparql.physical import (
     IndexNestedLoopJoin,
     LeapfrogJoin,
-    LoweringOptions,
     PathExpand,
     Scan,
     _leapfrog_intersect,
@@ -40,6 +40,7 @@ from repro.sparql.physical import (
     supports_leapfrog,
 )
 from repro.sparql.plan import plan_bgp
+from repro.sparql.profile import ExecutionProfile
 from repro.store import EncodedGraph
 
 from tests.helpers import EX
@@ -261,7 +262,7 @@ class TestOperatorSelection:
     def test_wcoj_option_off_pins_binary_join(self):
         graph = EncodedGraph(_TRIPLES)
         plan = lower_bgp(
-            graph, _triangle_patterns(), options=LoweringOptions(wcoj=False)
+            graph, _triangle_patterns(), profile=ExecutionProfile.ID_NATIVE
         )
         assert isinstance(plan.root.child, IndexNestedLoopJoin)
 
@@ -296,7 +297,7 @@ class TestOperatorSelection:
         plan = lower_bgp(
             graph,
             _triangle_patterns(),
-            options=LoweringOptions(id_execution=False),
+            profile=ExecutionProfile.FULL.with_options(use_id_execution=False),
         )
         assert plan.space == "term"
         assert isinstance(plan.root.child, IndexNestedLoopJoin)
@@ -320,7 +321,7 @@ class TestExecution:
         graph = self._clique()
         patterns = _triangle_patterns()
         leapfrog = lower_bgp(graph, patterns)
-        binary = lower_bgp(graph, patterns, options=LoweringOptions(wcoj=False))
+        binary = lower_bgp(graph, patterns, profile=ExecutionProfile.ID_NATIVE)
         assert isinstance(leapfrog.root.child, LeapfrogJoin)
         assert isinstance(binary.root.child, IndexNestedLoopJoin)
         left = Counter(map(str, physical.execute(leapfrog, graph)))
@@ -369,35 +370,55 @@ class TestExecution:
 # ----------------------------------------------------------------------
 # plan cache hygiene
 # ----------------------------------------------------------------------
+_NO_ID_PATHS = ExecutionProfile.FULL.with_options(use_id_paths=False)
+
+
+def _cache_size(evaluator):
+    return evaluator.metrics()["sparql_physical_cache_size"]
+
+
 def test_plan_cache_purges_dead_graph_entries():
     dataset = Dataset.from_graph(EncodedGraph(_TRIPLES))
-    # use_id_paths=False keeps the path-engine cache (which holds graphs
+    # Id paths off keeps the path-engine cache (which holds graphs
     # strongly by design) out of the lifetime picture.
-    evaluator = SparqlEvaluator(dataset, use_id_paths=False)
+    evaluator = SparqlEvaluator(dataset, profile=_NO_ID_PATHS)
     query = parse_query(PREFIX + "SELECT * WHERE { ?s ex:p ?o . ?o ex:p ?t }")
+    list(evaluator.evaluate(query).rows())
 
     transient = EncodedGraph(_TRIPLES)
-    list(
-        evaluator._eval_pattern_stream(
-            parse_query(
-                PREFIX + "SELECT * WHERE { ?s ex:q ?o . ?o ex:p ?t }"
-            ).pattern,
-            transient,
-            dataset,
-        )
-    )
-    assert any(
-        reference() is transient for reference, _ in evaluator._plan_cache.values()
-    )
+    pattern = parse_query(PREFIX + "SELECT * WHERE { ?s ex:q ?o . ?o ex:p ?t }").pattern
+    list(evaluator._eval_pattern_stream(pattern, transient, dataset))
+    assert _cache_size(evaluator) == 2
+    collected = weakref.ref(transient)
     del transient
     gc.collect()
 
-    # The next miss sweeps every entry whose graph has been collected.
-    list(evaluator.evaluate(query).rows())
-    assert all(
-        reference() is not None for reference, _ in evaluator._plan_cache.values()
-    )
-    assert len(evaluator._plan_cache) == 1
+    # The cache never pins a graph: once collected, its plans are gone.
+    assert collected() is None
+    assert _cache_size(evaluator) == 1
+
+
+def test_write_drops_the_graph_plans():
+    graph = EncodedGraph(_TRIPLES)
+    evaluator = SparqlEvaluator(Dataset.from_graph(graph))
+    first = parse_query(PREFIX + "SELECT * WHERE { ?s ex:p ?o . ?o ex:p ?t }")
+    second = parse_query(PREFIX + "SELECT * WHERE { ?s ex:q ?o . ?o ex:p ?t }")
+    evaluator.evaluate(first)
+    evaluator.evaluate(second)
+    assert _cache_size(evaluator) == 2
+
+    graph.add(Triple(EX.z, EX.p, EX.a))
+    rows = evaluator.evaluate(first)
+    metrics = evaluator.metrics()
+    # The write replaced the graph's plans: only the re-planned query is left.
+    assert metrics["sparql_physical_cache_size"] == 1
+    assert metrics["sparql_plan_cache_evictions_total"] == 2
+    assert metrics["sparql_plan_cache_misses_total"] == 3
+    assert metrics["sparql_physical_cache_misses_total"] == 3
+    expected = SparqlEvaluator(
+        Dataset.from_graph(graph), profile=ExecutionProfile.BASELINE
+    ).evaluate(first)
+    assert Counter(rows.rows()) == Counter(expected.rows())
 
 
 # ----------------------------------------------------------------------
@@ -446,7 +467,10 @@ def test_extended_pushdown_matches_baseline(backend, query_text):
     dataset = Dataset.from_graph(backend(_PUSHDOWN_TRIPLES))
     pushdown = SparqlEvaluator(dataset)
     baseline = SparqlEvaluator(
-        dataset, use_id_execution=False, use_filter_pushdown=False
+        dataset,
+        profile=ExecutionProfile.FULL.with_options(
+            use_id_execution=False, use_filter_pushdown=False
+        ),
     )
     query = parse_query(query_text)
     assert Counter(pushdown.evaluate(query).rows()) == Counter(

@@ -6,11 +6,13 @@ import pytest
 
 from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import IRI, Triple, Variable
+from repro.sparql import physical
 from repro.sparql.algebra import BGP, PathPattern, TriplePatternNode
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
 from repro.sparql.paths import LinkPath, OneOrMorePath
-from repro.sparql.plan import evaluate_bgp, plan_bgp
+from repro.sparql.plan import plan_bgp
+from repro.sparql.profile import ExecutionProfile
 
 from tests.helpers import EX, countries_dataset, rows_multiset
 
@@ -19,6 +21,19 @@ PREFIX = "PREFIX ex: <http://ex.org/>\n"
 
 def tp(subject, predicate, obj) -> TriplePatternNode:
     return TriplePatternNode(Triple(subject, predicate, obj))
+
+
+NAIVE = ExecutionProfile.FULL.with_options(use_planner=False)
+
+
+def stream_bgp(graph, patterns, path_evaluator=None):
+    """Plan, lower and stream a BGP through the term-space pipeline."""
+    plan = physical.lower_bgp(graph, patterns, profile=ExecutionProfile.BASELINE)
+    return physical.execute(plan, graph, path_evaluator=path_evaluator)
+
+
+def metric(evaluator, name: str) -> int:
+    return evaluator.metrics()[name]
 
 
 def star_graph(n_subjects: int = 50, fanout: int = 3) -> Graph:
@@ -159,7 +174,7 @@ class TestStreamingExecution:
         graph = star_graph(20, 2)
         v, x, y = Variable("v"), Variable("x"), Variable("y")
         patterns = [tp(v, EX.a, x), tp(v, EX.b, y), tp(v, EX.selective, EX.target)]
-        streamed = list(evaluate_bgp(graph, patterns))
+        streamed = list(stream_bgp(graph, patterns))
         assert len(streamed) == 4  # 2 :a edges x 2 :b edges of s0
         assert all(binding[v] == EX.s0 for binding in streamed)
 
@@ -175,7 +190,7 @@ class TestStreamingExecution:
         for i in range(100):
             graph.add(Triple(EX[f"s{i}"], EX.p, EX[f"o{i}"]))
         v, o = Variable("v"), Variable("o")
-        stream = evaluate_bgp(graph, [tp(v, EX.p, o)])
+        stream = stream_bgp(graph, [tp(v, EX.p, o)])
         CountingGraph.probes = 0
         first = next(iter(stream))
         assert first is not None
@@ -185,7 +200,7 @@ class TestStreamingExecution:
     def test_repeated_variable_within_pattern(self):
         graph = Graph([Triple(EX.a, EX.p, EX.a), Triple(EX.a, EX.p, EX.b)])
         x = Variable("x")
-        results = list(evaluate_bgp(graph, [tp(x, EX.p, x)]))
+        results = list(stream_bgp(graph, [tp(x, EX.p, x)]))
         assert len(results) == 1
         assert results[0][x] == EX.a
 
@@ -204,7 +219,7 @@ class TestStreamingExecution:
         # The selective triple pattern must be probed before the closure.
         assert plan.order() == [1, 0]
         results = list(
-            evaluate_bgp(graph, patterns, path_evaluator=evaluator._eval_path_pattern)
+            stream_bgp(graph, patterns, path_evaluator=evaluator._eval_path_pattern)
         )
         assert {binding[end] for binding in results} == {
             EX[f"n{i}"] for i in range(1, 6)
@@ -223,7 +238,7 @@ class TestZeroLengthPathSubstitution:
             PREFIX + "SELECT ?p ?z WHERE { ?s ?p ?o . ?p ex:q? ?z }"
         )
         planned = SparqlEvaluator(ds).evaluate(query)
-        naive = SparqlEvaluator(ds, use_planner=False).evaluate(query)
+        naive = SparqlEvaluator(ds, profile=NAIVE).evaluate(query)
         assert rows_multiset(planned) == rows_multiset(naive)
         assert len(planned) == 0
 
@@ -237,7 +252,7 @@ class TestZeroLengthPathSubstitution:
                 PREFIX + "SELECT ?p ?z WHERE { ?s ?p ?o . ?p " + path_text + " ?z }"
             )
             planned = SparqlEvaluator(ds).evaluate(query)
-            naive = SparqlEvaluator(ds, use_planner=False).evaluate(query)
+            naive = SparqlEvaluator(ds, profile=NAIVE).evaluate(query)
             assert rows_multiset(planned) == rows_multiset(naive), path_text
             assert len(planned) == 0, path_text
 
@@ -248,7 +263,7 @@ class TestZeroLengthPathSubstitution:
             PREFIX + "SELECT ?s ?z WHERE { ?s ?p ?o . ?s ex:q* ?z }"
         )
         planned = SparqlEvaluator(ds).evaluate(query)
-        naive = SparqlEvaluator(ds, use_planner=False).evaluate(query)
+        naive = SparqlEvaluator(ds, profile=NAIVE).evaluate(query)
         assert rows_multiset(planned) == rows_multiset(naive)
         assert (EX.s, EX.s) in planned.to_set()
 
@@ -267,7 +282,7 @@ class TestPlannedEvaluatorEquivalence:
         dataset = countries_dataset()
         query = parse_query(PREFIX + query_text)
         planned = SparqlEvaluator(dataset).evaluate(query)
-        naive = SparqlEvaluator(dataset, use_planner=False).evaluate(query)
+        naive = SparqlEvaluator(dataset, profile=NAIVE).evaluate(query)
         if isinstance(planned, bool):
             assert planned == naive
         elif "LIMIT" in query_text:
@@ -289,8 +304,8 @@ class TestPlanCache:
         first = evaluator.evaluate(query)
         second = evaluator.evaluate(query)
         assert rows_multiset(first) == rows_multiset(second)
-        assert evaluator.plan_cache_misses == 1
-        assert evaluator.plan_cache_hits == 1
+        assert metric(evaluator, "sparql_plan_cache_misses_total") == 1
+        assert metric(evaluator, "sparql_physical_cache_hits_total") == 1
 
     def test_mutation_invalidates_cache(self):
         dataset = countries_dataset()
@@ -300,8 +315,8 @@ class TestPlanCache:
         before = rows_multiset(evaluator.evaluate(query))
         dataset.default_graph.add(Triple(EX.austria, EX.borders, EX.italy))
         after = evaluator.evaluate(query)
-        assert evaluator.plan_cache_misses == 2
-        naive = SparqlEvaluator(dataset, use_planner=False).evaluate(query)
+        assert metric(evaluator, "sparql_plan_cache_misses_total") == 2
+        naive = SparqlEvaluator(dataset, profile=NAIVE).evaluate(query)
         assert rows_multiset(after) == rows_multiset(naive)
         assert rows_multiset(after) != before
 
@@ -317,15 +332,24 @@ class TestPlanCache:
         assert graph.version == 2
 
     def test_cache_is_bounded(self):
-        evaluator = SparqlEvaluator(countries_dataset())
+        # The bound holds per graph: each graph keeps its newest 4 plans.
+        dataset = countries_dataset()
+        evaluator = SparqlEvaluator(dataset)
         evaluator.PLAN_CACHE_SIZE = 4
-        for index in range(10):
-            query = parse_query(
-                PREFIX
-                + f"SELECT ?a ?b WHERE {{ ?a ex:borders ?b . ?b ex:borders ex:n{index} }}"
-            )
-            evaluator.evaluate(query)
-        assert len(evaluator._plan_cache) <= 4
+        other = countries_dataset().default_graph
+        for graph in (dataset.default_graph, other):
+            for index in range(10):
+                query = parse_query(
+                    PREFIX
+                    + f"SELECT ?a ?b WHERE {{ ?a ex:borders ?b . ?b ex:borders ex:n{index} }}"
+                )
+                list(evaluator._eval_pattern_stream(query.pattern, graph, dataset))
+        assert metric(evaluator, "sparql_physical_cache_size") == 8
+        assert metric(evaluator, "sparql_plan_cache_evictions_total") == 12
+        # The oldest entries went first: the newest query still hits.
+        hits = metric(evaluator, "sparql_physical_cache_hits_total")
+        evaluator.evaluate(query)
+        assert metric(evaluator, "sparql_physical_cache_hits_total") == hits + 1
 
     def test_distinct_graphs_cached_separately(self):
         query = self._two_pattern_query()
@@ -333,5 +357,5 @@ class TestPlanCache:
         second = SparqlEvaluator(countries_dataset())
         first.evaluate(query)
         second.evaluate(query)
-        assert first.plan_cache_misses == 1
-        assert second.plan_cache_misses == 1
+        assert metric(first, "sparql_plan_cache_misses_total") == 1
+        assert metric(second, "sparql_plan_cache_misses_total") == 1

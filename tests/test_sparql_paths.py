@@ -6,6 +6,7 @@ from repro.rdf.graph import Dataset, Graph
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.sparql.evaluator import SparqlEvaluator
 from repro.sparql.parser import parse_query
+from repro.sparql.profile import ExecutionProfile
 from repro.sparql.paths import (
     OneOrMorePath,
     RepeatPath,
@@ -20,6 +21,8 @@ from repro.sparql.paths import (
 from tests.helpers import EX, countries_dataset
 
 PREFIX = "PREFIX ex: <http://ex.org/>\n"
+#: Term-level ALP paths on every backend (the id path engine switched off).
+NO_ID_PATHS = ExecutionProfile.FULL.with_options(use_id_paths=False)
 
 
 def run(dataset, query_text):
@@ -272,7 +275,7 @@ class TestBoundEndpointShortCircuit:
 
     def test_reachability_probe_stops_at_adjacent_target(self):
         graph = self._long_chain()
-        evaluator = SparqlEvaluator(Dataset.from_graph(graph), use_id_paths=False)
+        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=NO_ID_PATHS)
         graph.probes = 0
         result = evaluator.evaluate(
             parse_query(PREFIX + "ASK { ex:n0 ex:next+ ex:n1 }")
@@ -285,7 +288,7 @@ class TestBoundEndpointShortCircuit:
 
     def test_unreachable_target_still_correct(self):
         graph = self._long_chain()
-        evaluator = SparqlEvaluator(Dataset.from_graph(graph), use_id_paths=False)
+        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=NO_ID_PATHS)
         assert (
             evaluator.evaluate(
                 parse_query(PREFIX + "ASK { ex:n5 ex:next+ ex:n0 }")
@@ -295,7 +298,7 @@ class TestBoundEndpointShortCircuit:
 
     def test_short_circuit_preserves_bound_pair_results(self):
         graph = self._long_chain(20)
-        evaluator = SparqlEvaluator(Dataset.from_graph(graph), use_id_paths=False)
+        evaluator = SparqlEvaluator(Dataset.from_graph(graph), profile=NO_ID_PATHS)
         result = evaluator.evaluate(
             parse_query(PREFIX + "SELECT ?x WHERE { ex:n0 ex:next* ex:n20 . ?x ex:next ex:n1 }")
         )

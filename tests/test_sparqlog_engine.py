@@ -12,6 +12,7 @@ from repro.rdf.terms import IRI, Literal, Triple, Variable
 from repro.sparql.algebra import DatasetClause, OrderCondition
 from repro.sparql.expressions import VariableExpr
 from repro.sparql.solutions import Binding
+from repro.store import EncodedGraph
 
 from tests.helpers import EX, countries_dataset, countries_graph, directors_dataset
 
@@ -51,6 +52,22 @@ class TestEngineBasics:
         assert len(engine.query(PREFIX + "SELECT ?x ?y WHERE { ?x ex:borders ?y }")) == 5
         engine.load(directors_dataset())
         assert len(engine.query(PREFIX + "SELECT ?x ?y WHERE { ?x ex:borders ?y }")) == 0
+
+    @pytest.mark.parametrize("backend", [Graph, EncodedGraph], ids=["hash", "encoded"])
+    def test_writes_invalidate_cached_data_translation(self, backend):
+        graph = backend([Triple(EX.a, EX.p, EX.b)])
+        named = backend([Triple(EX.c, EX.p, EX.d)])
+        engine = SparqLogEngine(Dataset(graph, {EX.g: named}))
+        query = PREFIX + "SELECT ?x ?y WHERE { ?x ex:p ?y }"
+        assert len(engine.query(query)) == 1
+        graph.add(Triple(EX.b, EX.p, EX.c))
+        assert engine.query(query).to_set() == {(EX.a, EX.b), (EX.b, EX.c)}
+        graph.remove(Triple(EX.a, EX.p, EX.b))
+        assert engine.query(query).to_set() == {(EX.b, EX.c)}
+        # A write to a named graph is visible to GRAPH patterns as well.
+        named.add(Triple(EX.d, EX.p, EX.e))
+        graph_query = PREFIX + "SELECT ?x WHERE { GRAPH ex:g { ?x ex:p ?y } }"
+        assert engine.query(graph_query).to_set() == {(EX.c,), (EX.d,)}
 
     def test_translate_exposes_program(self):
         engine = SparqLogEngine(countries_dataset())
